@@ -770,7 +770,7 @@ fn wide_db(n: usize, variants: usize, skew: f64) -> Database {
 /// partitions that can contain qualifying tuples are read.  Both runs must
 /// return the same rows; the speedup column is full/pruned.  Both
 /// end-to-end `execute` timings go through the default late-materialized
-/// batch pipeline (E16 compares that pipeline against the row oracle).
+/// batch pipeline (E16 compares it against the reference evaluator).
 /// Since late materialization made the un-pruned `SELECT *` scans cheap
 /// too (excluded partitions cost a bitmap pass instead of materialized
 /// tuples — those rows now honestly sit near 1×), the headline comes from
@@ -854,19 +854,22 @@ pub fn e12_partition_pruning(scale: usize) -> Table {
 
     // Columnar-vs-row phase: predicate scan throughput through the
     // vectorized columnar kernels (shape-folded compilation + per-segment
-    // selection bitmaps) vs. a row-store oracle — a segmented row `Heap`
-    // holding the identical tuple multiset, scanned tuple-at-a-time with
-    // `Predicate::eval`.  Both sides count qualifying rows (the shared
-    // materialization cost is excluded so the scan layouts themselves are
-    // compared); the "full µs" column carries the row-oracle time, the
-    // "pruned µs" column the columnar time, and the vectorized executor is
-    // differentially checked against the oracle count before timing.
+    // selection bitmaps) vs. a row store — a `Vec<Tuple>` built once from
+    // `db.scan`, holding the identical tuple multiset, scanned
+    // tuple-at-a-time with `Predicate::eval`.  Both sides count qualifying
+    // rows (the shared materialization cost is excluded so the scan layouts
+    // themselves are compared); the "full µs" column carries the row-store
+    // time, the "pruned µs" column the columnar time, and the vectorized
+    // executor is differentially checked against the row-store count before
+    // timing.
     const COL_VARIANTS: usize = 8;
     let db = wide_db(scale, COL_VARIANTS, 0.0);
-    let mut row_heap = flexrel_storage::Heap::new();
-    for (_, tuple) in db.scan("wide").unwrap() {
-        row_heap.insert(tuple);
-    }
+    let row_store: Vec<Tuple> = db
+        .scan("wide")
+        .unwrap()
+        .into_iter()
+        .map(|(_, t)| t)
+        .collect();
     let snap = db.partition_snapshot("wide").unwrap();
     let col_queries = [
         (
@@ -894,19 +897,19 @@ pub fn e12_partition_pruning(scale: usize) -> Table {
                 })
                 .sum::<usize>()
         };
-        let oracle_count = || row_heap.scan().filter(|(_, t)| pred.eval(t)).count();
+        let row_count = || row_store.iter().filter(|t| pred.eval(t)).count();
 
-        // Differential check first: the bitmap count, the oracle count and
-        // the full vectorized executor must all agree.
+        // Differential check first: the bitmap count, the row-store count
+        // and the full vectorized executor must all agree.
         let plan = LogicalPlan::scan("wide").filter(pred.clone());
         let executed = execute(&plan, &db).unwrap().len();
         assert_eq!(columnar_count(), executed, "bitmap count vs executor");
-        assert_eq!(oracle_count(), executed, "row oracle vs executor");
+        assert_eq!(row_count(), executed, "row store vs executor");
 
         let (col_rows, col_us) = best_of(REPS, &columnar_count);
-        let (oracle_rows, row_us) = best_of(REPS, &oracle_count);
+        let (row_rows, row_us) = best_of(REPS, &row_count);
 
-        assert_eq!(col_rows, oracle_rows, "columnar scan must match row oracle");
+        assert_eq!(col_rows, row_rows, "columnar scan must match the row store");
         t.row([
             scale.to_string(),
             COL_VARIANTS.to_string(),
@@ -1471,32 +1474,33 @@ pub fn e15_durability(scale: usize) -> Table {
     }
 }
 
-/// E16 — late materialization: the batched SelVec pipeline (the default
-/// execution mode) vs. the tuple-at-a-time row pipeline, end to end.
+/// E16 — late materialization: the executor (the batched SelVec chunk
+/// pipeline) vs. the reference evaluator, end to end.
 ///
-/// Every row runs the same plan twice — once through the row-at-a-time
-/// oracle pipeline (`ExecOptions::serial().row_pipeline()`) and once
-/// through the late-materialized batch pipeline (`ExecOptions::serial()`,
-/// the default) — asserts the two results are identical tuple-for-tuple
-/// *before* any timing, and reports both timings plus how many input
-/// tuples the late pipeline actually materialized.  The interesting rows:
+/// Every row runs the same plan twice — once through the reference
+/// evaluator ([`crate::oracle::evaluate`]: the algebra's materializing
+/// operators over `Database::snapshot`, timed including the snapshot) and
+/// once through the executor (`ExecOptions::serial()`) — asserts the two
+/// results are identical tuple-for-tuple *before* any timing, and reports
+/// both timings plus how many tuples the executor built from column data.
+/// The interesting rows:
 ///
 /// * **selective hash join** — the probe side streams every `wide` tuple
 ///   but only ~1% find a partner in the small `pick` key list, so the
-///   late pipeline materializes only the matches (plus the build side)
-///   while the row pipeline has already built every probe tuple.
+///   executor materializes only the matches (plus the build side) while
+///   the reference has already built every tuple of both relations.
 /// * **aggregates** — `COUNT`/`SUM` (global and `GROUP BY kind`) fold
 ///   directly over the selection bitmaps and typed columns; the
 ///   `late materialized` column must read `0` — their inputs never leave
 ///   the columns.
 pub fn e16_late_materialization(scale: usize) -> Table {
     let mut t = Table::new(
-        "E16: late materialization — batch/SelVec pipeline vs. row-at-a-time execution",
+        "E16: late materialization — batch/SelVec executor vs. the algebra reference evaluator",
         &[
             "n",
             "query",
             "rows",
-            "row µs",
+            "reference µs",
             "late µs",
             "speedup",
             "late materialized",
@@ -1507,9 +1511,8 @@ pub fn e16_late_materialization(scale: usize) -> Table {
     let db = wide_db(scale, VARIANTS, 0.0);
     // The spread key list driving the selective joins (build side), and a
     // dependency-free copy of `wide`: no dependencies means no indexes, so
-    // joining it always takes the hash path — the row pipeline then has to
-    // materialize every probe-side tuple while the late pipeline builds
-    // key-only tuples and materializes only the matches.
+    // joining it always takes the hash path — the executor builds key-only
+    // tuples and materializes only the matches.
     db.create_relation(RelationDef::new(
         "pick",
         FlexScheme::relational(AttrSet::singleton("id")),
@@ -1545,11 +1548,10 @@ pub fn e16_late_materialization(scale: usize) -> Table {
         ),
         (
             // The naive (un-optimized) plan on purpose: the guard decides
-            // per shape, so the late pipeline drops whole chunks before
-            // materializing while the row pipeline materializes every
-            // tuple first and tests it afterwards.  (The optimizer would
-            // push the guard into a shape predicate on the scan — that
-            // path is E12's subject.)
+            // per shape, so the executor drops whole chunks before
+            // materializing while the reference tests every tuple.  (The
+            // optimizer would push the guard into a shape predicate on the
+            // scan — that path is E12's subject.)
             "SELECT * FROM wide GUARD v1 (naive plan)".into(),
             plan_query(
                 &parse("SELECT * FROM wide GUARD v1").unwrap(),
@@ -1575,23 +1577,25 @@ pub fn e16_late_materialization(scale: usize) -> Table {
         ),
     ];
 
-    let row_opts = ExecOptions::serial().row_pipeline();
     let late_opts = ExecOptions::serial();
     let mut best_scan = 0.0f64;
     let mut best_agg = 0.0f64;
     for (label, plan) in plans {
-        // Differential check first: the late pipeline against the row
-        // oracle, tuple for tuple.
+        // Differential check first: the executor against the reference
+        // evaluator, tuple for tuple.
         let (mut late_rows, stats) = execute_collect(&plan, &db, &late_opts).unwrap();
-        let mut row_rows = execute_with(&plan, &db, &row_opts).unwrap();
+        let mut ref_rows = crate::oracle::evaluate(&plan, &db).unwrap();
         late_rows.sort();
-        row_rows.sort();
-        assert_eq!(late_rows, row_rows, "pipelines disagree on {label}");
+        ref_rows.sort();
+        assert_eq!(
+            late_rows, ref_rows,
+            "executor disagrees with the reference on {label}"
+        );
         let aggregate = label.contains("COUNT");
         if aggregate {
             // The non-flaky late-path guard: an aggregate's inputs never
             // leave the columns.  Anything non-zero means the executor
-            // silently fell back to row-at-a-time execution.
+            // built tuples from column data it only had to fold.
             assert_eq!(
                 stats.materialized(),
                 0,
@@ -1599,11 +1603,11 @@ pub fn e16_late_materialization(scale: usize) -> Table {
             );
         }
 
-        let (n_row, row_us) = best_of(REPS, || execute_with(&plan, &db, &row_opts).unwrap().len());
+        let (n_ref, ref_us) = best_of(REPS, || crate::oracle::evaluate(&plan, &db).unwrap().len());
         let (n_late, late_us) =
             best_of(REPS, || execute_with(&plan, &db, &late_opts).unwrap().len());
-        assert_eq!(n_row, n_late, "row counts diverged on {label}");
-        let speedup = row_us / late_us;
+        assert_eq!(n_ref, n_late, "row counts diverged on {label}");
+        let speedup = ref_us / late_us;
         if aggregate {
             best_agg = best_agg.max(speedup);
         } else {
@@ -1613,7 +1617,7 @@ pub fn e16_late_materialization(scale: usize) -> Table {
             scale.to_string(),
             label,
             n_late.to_string(),
-            format!("{:.1}", row_us),
+            format!("{:.1}", ref_us),
             format!("{:.1}", late_us),
             format!("{:.2}x", speedup),
             stats.materialized().to_string(),
@@ -2367,39 +2371,44 @@ mod tests {
 
     #[test]
     fn e16_smoke_late_pipeline_is_active_not_a_row_fallback() {
-        // Guards the default: `execute` must run the late-materialized
-        // batch pipeline.  Two independent signals, so a silent fallback
-        // to row-at-a-time execution cannot slip through:
+        // Guards the executor's late-materialization path against the
+        // reference evaluator.  Two independent signals, so a path that
+        // builds tuples where it only has to fold cannot slip through:
         //
         // 1. (non-flaky) an aggregate's inputs never leave the columns —
-        //    `ExecStats::materialized` reads 0 on the late path and `n`
-        //    on the row path;
+        //    `ExecStats::materialized` reads 0, on the scan path and on
+        //    the `IndexLookup` path alike;
         // 2. (timing) even at tiny scale the end-to-end aggregate speedup
-        //    is far from ~1.0x; min-of-reps with a generous 1.5x floor
-        //    (observed ~10x) keeps this stable on busy CI hosts.
+        //    over the reference is far from ~1.0x; min-of-reps with a
+        //    generous 1.5x floor keeps this stable on busy CI hosts.
         let db = wide_db(600, 4, 0.0);
-        let parsed = parse("SELECT COUNT(*), SUM(id) FROM wide").unwrap();
-        let plan = plan_query(&parsed, &db.catalog()).unwrap();
         let late = ExecOptions::serial();
-        let row = ExecOptions::serial().row_pipeline();
-
-        let (mut late_rows, stats) = execute_collect(&plan, &db, &late).unwrap();
-        let mut row_rows = execute_with(&plan, &db, &row).unwrap();
-        late_rows.sort();
-        row_rows.sort();
-        assert_eq!(late_rows, row_rows);
-        assert_eq!(stats.materialized(), 0, "late pipeline fell back to rows");
-        assert!(
-            stats.chunks() > 0,
-            "no columnar chunks entered the pipeline"
-        );
+        let check = |frql: &str| {
+            let parsed = parse(frql).unwrap();
+            let plan = plan_query(&parsed, &db.catalog()).unwrap();
+            let (plan, _) = optimize_with_db(plan, &db);
+            let (mut late_rows, stats) = execute_collect(&plan, &db, &late).unwrap();
+            let mut ref_rows = crate::oracle::evaluate(&plan, &db).unwrap();
+            late_rows.sort();
+            ref_rows.sort();
+            assert_eq!(late_rows, ref_rows, "{frql}");
+            assert_eq!(stats.materialized(), 0, "{frql} built input tuples");
+            assert!(
+                stats.chunks() > 0,
+                "no columnar chunks entered the pipeline: {frql}"
+            );
+            plan
+        };
+        let plan = check("SELECT COUNT(*), SUM(id) FROM wide");
+        let lookup = check("SELECT COUNT(*), SUM(id) FROM wide WHERE kind = 'k0'");
+        assert_eq!(lookup.index_lookup_count(), 1, "{lookup}");
 
         const REPS: u32 = 20;
         let (_, late_us) = best_of(REPS, || execute_with(&plan, &db, &late).unwrap().len());
-        let (_, row_us) = best_of(REPS, || execute_with(&plan, &db, &row).unwrap().len());
+        let (_, ref_us) = best_of(REPS, || crate::oracle::evaluate(&plan, &db).unwrap().len());
         assert!(
-            row_us / late_us > 1.5,
-            "execute speedup is ~1x again (late {late_us:.1}µs vs row {row_us:.1}µs)"
+            ref_us / late_us > 1.5,
+            "execute speedup is ~1x again (late {late_us:.1}µs vs reference {ref_us:.1}µs)"
         );
     }
 

@@ -8,6 +8,7 @@
 pub mod compare;
 pub mod driver;
 pub mod experiments;
+pub mod oracle;
 pub mod report;
 
 pub use compare::{compare_dirs, Comparison};

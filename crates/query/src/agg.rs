@@ -163,11 +163,12 @@ impl Acc {
 /// attributes.  Groups live in a `BTreeMap` so the output order is the
 /// total order over key tuples — deterministic regardless of input order.
 ///
-/// Both pipelines share this type: the row pipeline feeds it through
-/// [`add_tuple`](GroupedAggs::add_tuple) (the semantic reference), the late
-/// pipeline through the columnar kernels in [`crate::colscan`], which reach
-/// a group's accumulators via [`group_accs`](GroupedAggs::group_accs)
-/// without materializing input tuples.
+/// The executor feeds it row chunks through
+/// [`add_tuple`](GroupedAggs::add_tuple) (also the reference evaluator's
+/// fold) and column chunks through the kernels in [`crate::colscan`],
+/// which reach a group's accumulators via
+/// [`group_accs`](GroupedAggs::group_accs) without materializing input
+/// tuples.
 #[derive(Debug)]
 pub struct GroupedAggs {
     group_by: AttrSet,
@@ -197,7 +198,7 @@ impl GroupedAggs {
         &self.aggs
     }
 
-    /// Folds one materialized tuple — the row-pipeline path and the
+    /// Folds one materialized tuple — the path for row chunks and the
     /// reference semantics for the columnar kernels.
     pub fn add_tuple(&mut self, t: &Tuple) {
         if !t.defined_on(&self.group_by) {

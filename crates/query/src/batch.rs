@@ -1,14 +1,14 @@
-//! The batched late-materialization pipeline.
+//! The executor: a batched late-materialization pipeline.
 //!
-//! The row pipeline (`exec::exec_node`) materializes every
-//! qualifying row into an owned [`Tuple`] at the scan edge and streams
-//! tuples between operators.  This module replaces that dataflow with
-//! [`Chunk`]s: a columnar chunk is one 1024-slot column segment of a
-//! shape-homogeneous partition plus a [`SelVec`] selection bitmap — a
-//! zero-copy view (`Arc<Partition>` + segment index + bitmap) that flows
-//! through filters, guards and join probes without constructing a single
-//! tuple.  Owned tuples are built only at the points that genuinely need
-//! them:
+//! Operators exchange [`Chunk`]s.  A columnar chunk is one 1024-slot
+//! column segment of a shape-homogeneous partition plus a [`SelVec`]
+//! selection bitmap — a zero-copy view (`Arc<Partition>` + segment index +
+//! bitmap) that flows through filters, guards and join probes without
+//! constructing a single tuple.  Both access paths produce such chunks: a
+//! scan emits one per segment that has qualifying rows, and an index probe
+//! groups the rids of its hash chain by partition and segment into one
+//! selection per segment.  Owned tuples are built only at the points that
+//! genuinely need them:
 //!
 //! * the **result boundary** (`chunks_to_tuples`) — the final
 //!   materialization, restricted to rows that survived every operator;
@@ -18,26 +18,30 @@
 //!   binary row format ([`RowBlock`], reusing the WAL value codec) and
 //!   probed by row index — probe-side rows are materialized only on a
 //!   match;
-//! * operators that change shape or leave the columnar world
-//!   (`Extend`, `UnionAll` dedup, index-nested-loop probes).
+//! * the **index-nested-loop join**, whose probe rows and fetched inner
+//!   rows are owned tuples;
+//! * operators that change shape or need tuple identity (`Extend`,
+//!   `UnionAll` dedup).
 //!
-//! An `Aggregate` node never materializes input at all: its chunks fold
-//! straight into [`GroupedAggs`] through the columnar kernels in
+//! An `Aggregate` node never materializes input at all: its columnar
+//! chunks fold straight into [`GroupedAggs`] through the kernels in
 //! [`crate::colscan`].
 //!
-//! [`ExecStats`] counts every tuple built from column data, which is how
-//! the test suite pins the pipeline down: a `COUNT(*)` must report zero
-//! materializations, and a full scan exactly its result size.
+//! [`ExecStats`] counts every tuple built from column data, on every access
+//! path, which is how the test suite pins the pipeline down: a `COUNT(*)`
+//! must report zero materializations, and a full scan exactly its result
+//! size.
 //!
-//! Operator semantics are identical to the row pipeline — the differential
-//! suite in `tests/` executes every query through both pipelines and
-//! compares tuple-for-tuple.  Serial chunk order is partition order, then
-//! segment order, then slot order: exactly the row pipeline's scan order,
-//! so order-sensitive state (dedup first-occurrence, float summation)
-//! agrees bit-for-bit.  Under partition-parallel scans both pipelines
-//! produce the same multiset with unspecified order; float sums may then
-//! differ in the last ulp between runs, exactly as they do for the row
-//! fold under reordering.
+//! Operator semantics are the paper's algebra: the differential suites in
+//! `tests/` compare every plan against the reference evaluator
+//! (`flexrel_bench::oracle`, `flexrel-algebra` over `Database::snapshot`).
+//! Serial chunk order is partition order, then segment order, then slot
+//! order — the order of the snapshot the reference folds over — for scans
+//! and index probes alike, so order-sensitive state (dedup first
+//! occurrence, float summation) agrees bit-for-bit.  Under
+//! partition-parallel scans the result is the same multiset with
+//! unspecified order; float sums may then differ in the last ulp between
+//! runs.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,13 +51,13 @@ use flexrel_algebra::predicate::Predicate;
 use flexrel_core::attr::{Attr, AttrSet};
 use flexrel_core::error::Result;
 use flexrel_core::tuple::{ShapeId, Tuple};
-use flexrel_storage::{Partition, RowBlock, SelVec};
+use flexrel_storage::{Partition, PartitionSnapshot, Rid, RowBlock, SelVec};
 
 use crate::agg::GroupedAggs;
 use crate::colscan;
 use crate::exec::{
-    exec_node, index_nested_loop_stream, inl_inner_side, join_strategy_for, scan_parallelism,
-    snap_plan_attrs, ExecContext, ExecOptions, JoinStrategy, TupleStream,
+    inl_inner_side, join_strategy_for, scan_parallelism, snap_plan_attrs, ExecContext, ExecOptions,
+    JoinStrategy, RelSnap, TupleStream,
 };
 use crate::logical::{AggExpr, LogicalPlan, ShapePredicate};
 
@@ -107,14 +111,16 @@ impl ExecStats {
         }
     }
     /// How many owned tuples were built from column segments anywhere in
-    /// the pipeline (scan boundary, narrow projections, join sides).  An
+    /// the pipeline (result boundary, narrow projections, join sides,
+    /// index-nested-loop probe rows and fetched inner rows).  An
     /// aggregate-only query reports 0 — its inputs never leave the
     /// columns; a bare scan reports exactly its result size.
     pub fn materialized(&self) -> u64 {
         self.inner.materialized.load(Ordering::Relaxed)
     }
 
-    /// How many columnar chunks entered the pipeline at scan edges.
+    /// How many columnar chunks entered the pipeline at its sources (scans
+    /// and index probes).
     pub fn chunks(&self) -> u64 {
         self.inner.chunks.load(Ordering::Relaxed)
     }
@@ -207,7 +213,7 @@ pub type ChunkStream<'a> = Box<dyn Iterator<Item = Chunk> + 'a>;
 /// tuple-forcing operators ever performs).
 pub(crate) fn chunks_to_tuples<'a>(chunks: ChunkStream<'a>, stats: ExecStats) -> TupleStream<'a> {
     // The boundary doubles as a deadline gate for chunk producers that are
-    // not segment scans (row re-chunking, join outputs): one check per
+    // not chunk sources (join outputs, projections, unions): one check per
     // chunk, never per tuple.
     let gate = stats.clone();
     Box::new(
@@ -217,23 +223,10 @@ pub(crate) fn chunks_to_tuples<'a>(chunks: ChunkStream<'a>, stats: ExecStats) ->
     )
 }
 
-/// Re-chunks a tuple stream (used where a row-pipeline fragment feeds the
-/// chunk world, e.g. index-nested-loop output).
-fn rows_chunks<'a>(mut stream: TupleStream<'a>) -> ChunkStream<'a> {
-    Box::new(std::iter::from_fn(move || {
-        let batch: Vec<Tuple> = stream.by_ref().take(1024).collect();
-        if batch.is_empty() {
-            None
-        } else {
-            Some(Chunk::Rows(batch))
-        }
-    }))
-}
-
 /// A serial chunk scan over snapshotted partitions: the predicate
 /// conjunction compiles once per partition, each segment yields one
 /// [`ColChunk`] of qualifying rows.  Chunk order is partition, segment,
-/// slot order — the row pipeline's scan order.
+/// slot order — the snapshot's order.
 struct ChunkScan {
     parts: Vec<Arc<Partition>>,
     preds: Vec<Predicate>,
@@ -340,21 +333,15 @@ fn parallel_scan_chunks(
     Box::new(rx.into_iter())
 }
 
-/// The chunk scan for one base scan (mirrors `exec::scan_stream`): shape
-/// pruning per partition, qualification (plus any fused filter) compiled
-/// per partition, one chunk per surviving segment.
-fn scan_chunks<'a>(
-    snap: crate::exec::RelSnap,
-    qualification: &'a Option<Predicate>,
-    shape: &'a Option<ShapePredicate>,
+/// The chunk scan over already shape-pruned partitions: the conjunction
+/// of `preds` compiles per partition, one chunk per surviving segment,
+/// fanned out over workers when [`scan_parallelism`] allows.
+fn scan_chunks(
+    parts: PartitionSnapshot,
+    preds: Vec<Predicate>,
     opts: &ExecOptions,
-    extra_filter: Option<&'a Predicate>,
     stats: ExecStats,
-) -> ChunkStream<'a> {
-    let parts = snap
-        .parts
-        .retain_shapes(|s| shape.as_ref().map(|p| p.admits(s)).unwrap_or(true));
-    let preds: Vec<Predicate> = qualification.iter().chain(extra_filter).cloned().collect();
+) -> ChunkStream<'static> {
     let workers = scan_parallelism(parts.partition_count(), parts.len(), opts);
     if workers > 1 {
         return parallel_scan_chunks(parts.into_parts(), preds, workers, stats);
@@ -368,6 +355,123 @@ fn scan_chunks<'a>(
         compiled: None,
         stats,
     })
+}
+
+/// One base scan: shape pruning per partition, then the qualification
+/// (plus any filter fused onto the scan) compiled per partition.  The
+/// qualification is *known* to hold on consistent data; applying it is a
+/// no-op there but keeps hand-built fragment plans honest when they scan a
+/// broader base relation.
+fn base_scan_chunks(
+    snap: &RelSnap,
+    qualification: &Option<Predicate>,
+    shape: &Option<ShapePredicate>,
+    extra_filter: Option<&Predicate>,
+    opts: &ExecOptions,
+    stats: ExecStats,
+) -> ChunkStream<'static> {
+    let parts = snap.parts.clone().retain_shapes(|s| admitted(shape, s));
+    let preds = qualification.iter().chain(extra_filter).cloned().collect();
+    scan_chunks(parts, preds, opts, stats)
+}
+
+fn admitted(shapes: &Option<ShapePredicate>, shape: &AttrSet) -> bool {
+    shapes.as_ref().map(|p| p.admits(shape)).unwrap_or(true)
+}
+
+/// Memoized shape-predicate verdicts for rid-level checks: one interner
+/// resolution (`ShapeId` → `AttrSet`) per partition, not per matched tuple.
+/// Shared by the index probe and the index-nested-loop join.
+struct ShapeAdmitMemo {
+    shapes: Option<ShapePredicate>,
+    verdicts: HashMap<ShapeId, bool>,
+}
+
+impl ShapeAdmitMemo {
+    fn new(shapes: Option<ShapePredicate>) -> Self {
+        ShapeAdmitMemo {
+            shapes,
+            verdicts: HashMap::new(),
+        }
+    }
+
+    fn admits(&mut self, rid: Rid) -> bool {
+        match &self.shapes {
+            None => true,
+            Some(s) => *self
+                .verdicts
+                .entry(rid.shape())
+                .or_insert_with(|| s.admits(&rid.shape().attrs())),
+        }
+    }
+}
+
+/// An equality probe `key = key_value` as column chunks.  With an index on
+/// `key`, the rids of the probed hash chain that the shape predicate admits
+/// are sorted — rid order is partition, segment, slot order, i.e. scan
+/// order — grouped into one selection per segment, and masked with the
+/// segment's live bitmap (the liveness check a point read makes).  Without
+/// an index the probe is a scan of the partitions whose shape contains the
+/// key, with the key equality as the fused predicate.
+fn index_lookup_chunks(
+    snap: &RelSnap,
+    key: &AttrSet,
+    key_value: &Tuple,
+    shapes: &Option<ShapePredicate>,
+    opts: &ExecOptions,
+    stats: ExecStats,
+) -> ChunkStream<'static> {
+    let Some(idx) = snap.index_on(key) else {
+        let parts = snap
+            .parts
+            .clone()
+            .retain_shapes(|s| key.is_subset(s) && admitted(shapes, s));
+        let preds = key_value
+            .iter()
+            .map(|(a, v)| Predicate::eq(a.clone(), v.clone()))
+            .collect();
+        return scan_chunks(parts, preds, opts, stats);
+    };
+    let mut admit = ShapeAdmitMemo::new(shapes.clone());
+    let mut rids: Vec<Rid> = idx
+        .lookup(key_value)
+        .iter()
+        .copied()
+        .filter(|rid| admit.admits(*rid))
+        .collect();
+    rids.sort_unstable();
+    let mut chunks = Vec::new();
+    for group in
+        rids.chunk_by(|a, b| a.shape() == b.shape() && a.loc().segment() == b.loc().segment())
+    {
+        let first = group[0];
+        let Some(part) = snap.parts.partition(first.shape()) else {
+            continue;
+        };
+        let si = first.loc().segment() as usize;
+        let Some(seg) = part.columns().segment(si) else {
+            continue;
+        };
+        let mut sel = SelVec::none();
+        for rid in group {
+            sel.set(rid.loc().slot() as usize);
+        }
+        sel.and(&seg.live_sel());
+        if !sel.is_empty() {
+            chunks.push(Chunk::Cols(ColChunk {
+                part: Arc::clone(part),
+                seg: si,
+                sel,
+            }));
+        }
+    }
+    let gate = stats.clone();
+    Box::new(
+        chunks
+            .into_iter()
+            .take_while(move |_| !gate.deadline_expired())
+            .inspect(move |_| stats.note_chunk()),
+    )
 }
 
 /// A non-fused filter: compiled once per partition (chunks of one partition
@@ -431,7 +535,7 @@ fn guard_chunks<'a>(input: ChunkStream<'a>, attrs: &'a AttrSet) -> ChunkStream<'
 /// Duplicate-eliminating projection.  Columnar chunks materialize *narrow*
 /// tuples — only the projected columns are ever touched; the dropped
 /// columns of the partition are never read.  First occurrence wins, as in
-/// the row pipeline.
+/// the algebra's projection.
 fn project_chunks<'a>(
     input: ChunkStream<'a>,
     attrs: &'a AttrSet,
@@ -611,8 +715,97 @@ fn hash_join_chunks<'a>(
     }))
 }
 
+/// Index-nested-loop join: turns each probe chunk into rows and, per
+/// probe row, looks the matching inner tuples up through the inner
+/// relation's index snapshot on `common` — the inner side is never
+/// materialized as a whole.  Index and partitions come from the same atomic
+/// capture, so every probed rid resolves consistently.  Every inner tuple
+/// fetched from the columns is counted in [`ExecStats::materialized`].
+/// Inner tuples not defined on the full key (the index's partial list) are
+/// checked pairwise, mirroring the hash join's scan side; probe rows not
+/// defined on `common` fall back to a pairwise pass over the admitted inner
+/// side, which is materialized once on first need and reused.
+fn index_nested_loop_chunks<'a>(
+    probe: ChunkStream<'a>,
+    inner: RelSnap,
+    inner_qualification: Option<Predicate>,
+    inner_shapes: Option<ShapePredicate>,
+    common: AttrSet,
+    stats: ExecStats,
+) -> ChunkStream<'a> {
+    let mut shape_memo = ShapeAdmitMemo::new(inner_shapes.clone());
+    let qualifies =
+        move |q: &Option<Predicate>, t: &Tuple| q.as_ref().map(|q| q.eval(t)).unwrap_or(true);
+    // The index snapshot is resolved once for the whole stream; each probe
+    // is then one projection and one hash lookup yielding a borrowed rid
+    // slice — no per-probe catalog walk or locking.
+    let index = inner.index_on(&common).cloned();
+    let partials: Vec<Tuple> = index
+        .as_ref()
+        .map(|idx| {
+            idx.partial_tuples()
+                .iter()
+                .filter(|rid| shape_memo.admits(**rid))
+                .filter_map(|rid| inner.parts.get(*rid))
+                .inspect(|_| stats.note_materialized(1))
+                .filter(|t| qualifies(&inner_qualification, t))
+                .collect()
+        })
+        .unwrap_or_default();
+    let mut fallback: Option<Vec<Tuple>> = None;
+    Box::new(probe.filter_map(move |chunk| {
+        let mut out = Vec::new();
+        for l in chunk.into_tuples(&stats) {
+            if let (true, Some(idx)) = (l.defined_on(&common), &index) {
+                for rid in idx.lookup(&l.project(&common)) {
+                    if !shape_memo.admits(*rid) {
+                        continue;
+                    }
+                    let Some(r) = inner.parts.get(*rid) else {
+                        continue;
+                    };
+                    stats.note_materialized(1);
+                    if qualifies(&inner_qualification, &r) {
+                        out.push(l.merged_with(&r));
+                    }
+                }
+                for r in &partials {
+                    if l.joinable_with(r) {
+                        out.push(l.merged_with(r));
+                    }
+                }
+                continue;
+            }
+            // Rare paths: the probe row lacks part of the key (the index
+            // cannot answer), or no index exists on `common` (unreachable
+            // when the strategy gate chose this operator); pair against the
+            // (pruned, qualified) inner side, materialized once across all
+            // such probes.
+            let rows = fallback.get_or_insert_with(|| {
+                let rows: Vec<Tuple> = inner
+                    .parts
+                    .clone()
+                    .retain_shapes(|s| admitted(&inner_shapes, s))
+                    .scan()
+                    .map(|(_, r)| r)
+                    .collect();
+                stats.note_materialized(rows.len() as u64);
+                rows.into_iter()
+                    .filter(|r| qualifies(&inner_qualification, r))
+                    .collect()
+            });
+            for r in rows.iter() {
+                if l.joinable_with(r) {
+                    out.push(l.merged_with(r));
+                }
+            }
+        }
+        (!out.is_empty()).then_some(Chunk::Rows(out))
+    }))
+}
+
 /// Duplicate-eliminating union over chunk streams (tuple identity needs
-/// owned rows, so inputs materialize here as in the row pipeline).
+/// owned rows, so inputs materialize here).
 fn union_chunks<'a>(inputs: Vec<ChunkStream<'a>>, stats: ExecStats) -> ChunkStream<'a> {
     let mut seen: BTreeSet<Tuple> = BTreeSet::new();
     Box::new(inputs.into_iter().flatten().filter_map(move |chunk| {
@@ -660,10 +853,7 @@ fn aggregate_chunks<'a>(
     }
 }
 
-/// Builds the late-materialized chunk pipeline for a plan — the batch
-/// counterpart of [`exec_node`], one arm per logical operator.  Index
-/// lookups (point probes touching a handful of tuples) reuse the row
-/// pipeline's probe logic and enter the chunk world as row chunks.
+/// Builds the chunk pipeline for a plan, one arm per logical operator.
 pub(crate) fn exec_chunks<'a>(
     plan: &'a LogicalPlan,
     ctx: &ExecContext,
@@ -675,12 +865,12 @@ pub(crate) fn exec_chunks<'a>(
             relation,
             qualification,
             shape,
-        } => scan_chunks(
-            ctx.snap(relation).clone(),
+        } => base_scan_chunks(
+            ctx.snap(relation),
             qualification,
             shape,
-            &ctx.opts,
             None,
+            &ctx.opts,
             stats.clone(),
         ),
         LogicalPlan::Filter { input, predicate } => {
@@ -692,12 +882,12 @@ pub(crate) fn exec_chunks<'a>(
                 shape,
             } = &**input
             {
-                scan_chunks(
-                    ctx.snap(relation).clone(),
+                base_scan_chunks(
+                    ctx.snap(relation),
                     qualification,
                     shape,
-                    &ctx.opts,
                     Some(predicate),
+                    &ctx.opts,
                     stats.clone(),
                 )
             } else {
@@ -708,49 +898,39 @@ pub(crate) fn exec_chunks<'a>(
             project_chunks(exec_chunks(input, ctx, stats)?, attrs, stats.clone())
         }
         LogicalPlan::Guard { input, attrs } => guard_chunks(exec_chunks(input, ctx, stats)?, attrs),
-        LogicalPlan::IndexLookup { .. } => {
-            // A point probe resolves a handful of rids; the row pipeline's
-            // probe logic is already optimal (and eager).
-            let rows: Vec<Tuple> = exec_node(plan, ctx)?.collect();
-            if rows.is_empty() {
-                Box::new(std::iter::empty())
-            } else {
-                Box::new(std::iter::once(Chunk::Rows(rows)))
-            }
-        }
+        LogicalPlan::IndexLookup {
+            relation,
+            key,
+            key_value,
+            shapes,
+        } => index_lookup_chunks(
+            ctx.snap(relation),
+            key,
+            key_value,
+            shapes,
+            &ctx.opts,
+            stats.clone(),
+        ),
         LogicalPlan::Join { left, right } => {
             let common = snap_plan_attrs(left, ctx).intersection(&snap_plan_attrs(right, ctx));
-            match join_strategy_for(left, right, &common, ctx) {
-                JoinStrategy::IndexNestedLoopRight => {
-                    let side = inl_inner_side(right).expect("the strategy implies a base scan");
-                    let probe: TupleStream<'a> =
-                        chunks_to_tuples(exec_chunks(left, ctx, stats)?, stats.clone());
-                    rows_chunks(index_nested_loop_stream(
-                        probe,
-                        ctx.snap(side.relation).clone(),
-                        side.qualification,
-                        side.shapes.clone(),
-                        common,
-                    ))
-                }
-                JoinStrategy::IndexNestedLoopLeft => {
-                    let side = inl_inner_side(left).expect("the strategy implies a base scan");
-                    let probe: TupleStream<'a> =
-                        chunks_to_tuples(exec_chunks(right, ctx, stats)?, stats.clone());
-                    rows_chunks(index_nested_loop_stream(
-                        probe,
-                        ctx.snap(side.relation).clone(),
-                        side.qualification,
-                        side.shapes.clone(),
-                        common,
-                    ))
-                }
+            let (probe, inner) = match join_strategy_for(left, right, &common, ctx) {
+                JoinStrategy::IndexNestedLoopRight => (left, right),
+                JoinStrategy::IndexNestedLoopLeft => (right, left),
                 JoinStrategy::Hash => {
                     let probe = exec_chunks(left, ctx, stats)?;
                     let build = exec_chunks(right, ctx, stats)?;
-                    hash_join_chunks(probe, build, common, stats.clone())
+                    return Ok(hash_join_chunks(probe, build, common, stats.clone()));
                 }
-            }
+            };
+            let side = inl_inner_side(inner).expect("the strategy implies a base scan");
+            index_nested_loop_chunks(
+                exec_chunks(probe, ctx, stats)?,
+                ctx.snap(side.relation).clone(),
+                side.qualification,
+                side.shapes.clone(),
+                common,
+                stats.clone(),
+            )
         }
         LogicalPlan::UnionAll { inputs } => {
             let streams: Vec<ChunkStream<'a>> = inputs

@@ -14,11 +14,12 @@
 //!
 //! Rows live in fixed-size [`SEGMENT_SIZE`]-slot chunks ([`ColumnSegment`]),
 //! each an arena of one `Vec` per attribute plus a live-slot bitmap.  A
-//! [`TupleId`] still names `(segment, slot)`, tombstoned slots are reused
-//! from a free list, and segments sit behind [`Arc`]s with the same
-//! copy-on-write discipline as the row heap — so
+//! [`TupleId`] names `(segment, slot)`, tombstoned slots are reused from a
+//! free list, and segments sit behind [`Arc`]s: cloning a heap is a
+//! per-segment refcount bump and a write deep-copies only the segment it
+//! touches — so
 //! [`PartitionSnapshot`](crate::partition::PartitionSnapshot), transaction
-//! rollback and the parallel executor work unchanged on top.
+//! rollback and the parallel executor build directly on it.
 //!
 //! Columns are typed per segment: integers and floats are plain vectors;
 //! everything else (strings, tags, booleans, nulls — and any column that
@@ -48,7 +49,9 @@ use flexrel_core::value::Value;
 
 use crate::codec::{get_value, put_f64, put_i64, put_u32, put_u64, put_u8, put_value, Cursor};
 use crate::errors::StorageError;
-use crate::heap::{TupleId, SEGMENT_SIZE};
+/// Number of tuple slots per segment — also the worst-case number of tuples
+/// a single write deep-copies when copy-on-write hits a shared segment.
+pub const SEGMENT_SIZE: usize = 1024;
 
 /// Number of `u64` words in a per-segment selection or live bitmap.
 pub const SEGMENT_WORDS: usize = SEGMENT_SIZE / 64;
@@ -108,6 +111,41 @@ impl ColCmp {
             ColCmp::Gt => o.is_gt(),
             ColCmp::Ge => o.is_ge(),
         }
+    }
+}
+
+/// A stable identifier of a stored tuple within one partition: the pair of
+/// segment number and slot.  Deleted slots are tombstoned and reused by
+/// later inserts, so identifiers of live tuples never move.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TupleId {
+    segment: u32,
+    slot: u32,
+}
+
+impl TupleId {
+    /// Builds an identifier from its parts.  Only identifiers observed from
+    /// [`ColumnHeap::insert`] / [`ColumnHeap::scan`] (or snapshot iteration)
+    /// name live tuples; arbitrary pairs simply resolve to `None` on
+    /// [`ColumnHeap::get`].
+    pub fn new(segment: u32, slot: u32) -> Self {
+        TupleId { segment, slot }
+    }
+
+    /// The segment this tuple lives in.
+    pub fn segment(&self) -> u32 {
+        self.segment
+    }
+
+    /// The slot inside the segment.
+    pub fn slot(&self) -> u32 {
+        self.slot
+    }
+}
+
+impl std::fmt::Display for TupleId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "({}, {})", self.segment, self.slot)
     }
 }
 
@@ -645,11 +683,9 @@ impl ColumnSegment {
     }
 }
 
-/// Column-major tuple storage for one partition (one shape).  API-compatible
-/// with the row [`Heap`](crate::heap::Heap) — stable [`TupleId`]s, free-list
-/// slot reuse, per-segment copy-on-write — but reads materialize owned
-/// [`Tuple`]s (or hand out [`TupleRef`] views) instead of borrowing stored
-/// ones.
+/// Column-major tuple storage for one partition (one shape): stable
+/// [`TupleId`]s, free-list slot reuse and per-segment copy-on-write.  Reads
+/// materialize owned [`Tuple`]s or hand out [`TupleRef`] views.
 #[derive(Clone, Debug)]
 pub struct ColumnHeap {
     shape: AttrSet,
@@ -979,6 +1015,42 @@ mod tests {
         let c = h.insert(tuple! {"x" => 3});
         assert_eq!(c, a, "tombstoned slot is reused");
         assert_eq!(h.get(c), Some(tuple! {"x" => 3}));
+    }
+
+    #[test]
+    fn freed_slots_are_reused() {
+        let proto = tuple! {"x" => 1};
+        let mut h = heap_of(&proto);
+        let a = h.insert(tuple! {"x" => 1});
+        h.delete(a);
+        let b = h.insert(tuple! {"x" => 2});
+        assert_eq!(a, b, "the tombstoned slot is reused");
+        assert_eq!(h.len(), 1);
+        assert_eq!(h.segment_count(), 1, "no segment grown for the reuse");
+    }
+
+    #[test]
+    fn scan_yields_only_live_tuples() {
+        let proto = tuple! {"x" => 1};
+        let mut h = heap_of(&proto);
+        let a = h.insert(tuple! {"x" => 1});
+        let b = h.insert(tuple! {"x" => 2});
+        h.delete(a);
+        let scanned: Vec<_> = h.scan().map(|(id, r)| (id, r.to_tuple())).collect();
+        assert_eq!(scanned, vec![(b, tuple! {"x" => 2})]);
+        assert_eq!(h.all_tuples().len(), 1);
+        assert_eq!(h.slot_get(0, 0), None, "dead slot reads as absent");
+    }
+
+    #[test]
+    fn tuple_id_display() {
+        let proto = tuple! {"x" => 1};
+        let mut h = heap_of(&proto);
+        let a = h.insert(tuple! {"x" => 1});
+        assert_eq!(a.to_string(), "(0, 0)");
+        assert_eq!(a.segment(), 0);
+        assert_eq!(a.slot(), 0);
+        assert_eq!(TupleId::new(3, 7).to_string(), "(3, 7)");
     }
 
     #[test]

@@ -108,18 +108,13 @@ impl HashIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::TupleId;
     use flexrel_core::value::Value;
     use flexrel_core::{attrs, tuple};
 
     fn rid(n: u32) -> Rid {
-        // Build distinct Rids through a throwaway heap (all in one shape).
-        let shape = tuple! {"x" => 0}.shape_id();
-        let mut h = crate::heap::Heap::new();
-        let mut last = h.insert(tuple! {"x" => 0});
-        for i in 1..=n {
-            last = h.insert(tuple! {"x" => i as i64});
-        }
-        Rid::new(shape, last)
+        // Distinct Rids in one shape: slot `n` of the first segment.
+        Rid::new(tuple! {"x" => 0}.shape_id(), TupleId::new(0, n))
     }
 
     #[test]

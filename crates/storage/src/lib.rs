@@ -15,9 +15,11 @@
 //! `Arc` segments with per-segment selection-vector scan kernels.  Because
 //! a partition holds exactly one shape, its columns are dense — the
 //! paper's no-nulls argument made physical: shape membership carries all
-//! presence information, so the kernels have no null bitmap.  The
-//! row-store [`Heap`] is retained unchanged as the differential oracle for
-//! the columnar path.
+//! presence information, so the kernels have no null bitmap.  The column
+//! heap is the only tuple store; the query engine has one executor over
+//! it, and the reference semantics it is checked against are the algebra's
+//! (`flexrel-algebra` over [`Database::snapshot`], reached through
+//! `flexrel_bench::oracle`).
 //!
 //! Partitioning by shape makes the DNF structure of the scheme
 //! (`dnf(FS)`, [`FlexScheme::dnf`](flexrel_core::scheme::FlexScheme::dnf))
@@ -57,7 +59,6 @@ pub mod column;
 pub mod db;
 pub mod errors;
 pub mod fault;
-pub mod heap;
 pub mod index;
 pub mod partition;
 pub mod recovery;
@@ -67,11 +68,10 @@ pub mod txn;
 pub mod wal;
 
 pub use catalog::{Catalog, RelationDef};
-pub use column::{ColCmp, ColKind, ColumnHeap, ColumnSegment, SelVec, TupleRef};
+pub use column::{ColCmp, ColKind, ColumnHeap, ColumnSegment, SelVec, TupleId, TupleRef};
 pub use db::{Database, DurabilityOptions, IndexInfo, RecoveryInfo, TxnScope};
 pub use errors::StorageError;
 pub use fault::{CountingFault, FaultAction, IoEvent, IoFault, NoFault, NthEventFault};
-pub use heap::{Heap, TupleId};
 pub use index::HashIndex;
 pub use partition::{
     DepGuard, Partition, PartitionInfo, PartitionSnapshot, PartitionedHeap, Rid, ShapeMemo,

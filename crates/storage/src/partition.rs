@@ -25,8 +25,7 @@
 //! * **Columnar layout** — every tuple of a partition is defined on exactly
 //!   the partition's shape, so the heap stores one typed column per
 //!   attribute with no per-row null handling and evaluates predicates
-//!   vectorized (see [`crate::column`]).  The row-store
-//!   [`Heap`](crate::heap::Heap) remains as the differential oracle.
+//!   vectorized (see [`crate::column`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -35,9 +34,8 @@ use std::sync::Arc;
 use flexrel_core::attr::AttrSet;
 use flexrel_core::tuple::{ShapeId, Tuple};
 
-use crate::column::{ColumnHeap, TupleRef};
+use crate::column::{ColumnHeap, TupleId, TupleRef};
 use crate::errors::StorageError;
-use crate::heap::TupleId;
 
 /// A stable identifier of a tuple stored in a shape-partitioned relation:
 /// the partition's [`ShapeId`] plus the tuple's [`TupleId`] inside that
@@ -242,7 +240,7 @@ pub struct PartitionInfo {
 /// Each partition sits behind an [`Arc`]: taking a [`PartitionSnapshot`] is
 /// a handful of refcount bumps, and a write that lands while a snapshot is
 /// alive copies (via [`Arc::make_mut`] down to the segment level, see
-/// [`crate::heap`]) only what it touches — snapshots are immutable.
+/// [`crate::column`]) only what it touches — snapshots are immutable.
 #[derive(Clone, Debug, Default)]
 pub struct PartitionedHeap {
     parts: BTreeMap<ShapeId, Arc<Partition>>,
@@ -462,14 +460,20 @@ impl PartitionSnapshot {
             .fold(AttrSet::empty(), |acc, (_, p)| acc.union(p.shape()))
     }
 
+    /// The snapshotted partition of a shape, if it was live when the
+    /// snapshot was taken.
+    pub fn partition(&self, shape: ShapeId) -> Option<&Arc<Partition>> {
+        let i = self
+            .parts
+            .binary_search_by_key(&shape, |(sid, _)| *sid)
+            .ok()?;
+        Some(&self.parts[i].1)
+    }
+
     /// The tuple stored under `rid` in the snapshot, materialized, if it
     /// was live when the snapshot was taken.
     pub fn get(&self, rid: Rid) -> Option<Tuple> {
-        let i = self
-            .parts
-            .binary_search_by_key(&rid.shape, |(sid, _)| *sid)
-            .ok()?;
-        self.parts[i].1.heap.get(rid.loc)
+        self.partition(rid.shape)?.heap.get(rid.loc)
     }
 
     /// Keeps only the partitions whose shape the predicate admits — the

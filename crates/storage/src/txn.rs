@@ -121,7 +121,7 @@ mod tests {
         assert!(txn.is_empty());
         let rid = Rid::new(
             tuple! {"x" => 1}.shape_id(),
-            crate::heap::Heap::new().insert(tuple! {"x" => 1}),
+            crate::column::TupleId::new(0, 0),
         );
         txn.record(UndoAction::UndoInsert {
             relation: "r".into(),
@@ -147,7 +147,7 @@ mod tests {
         let mut txn = Transaction::begin();
         let rid = Rid::new(
             tuple! {"x" => 1}.shape_id(),
-            crate::heap::Heap::new().insert(tuple! {"x" => 1}),
+            crate::column::TupleId::new(0, 0),
         );
         txn.record(UndoAction::UndoInsert {
             relation: "r".into(),

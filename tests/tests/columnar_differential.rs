@@ -1,20 +1,21 @@
-//! Columnar-vs-row differential suite: the column-major partition storage
-//! and its vectorized scan path must be observationally identical to the
-//! row-store oracle (`flexrel_storage::Heap` plus per-tuple
-//! `Predicate::eval`) — under random mutation sequences, across the
-//! paper-style workloads with partial tuples, and after transaction
-//! rollback.
+//! Columnar differential suite: the column-major partition storage must
+//! behave like a map from tuple ids to tuples under random mutation
+//! sequences, and its vectorized scan path must return the reference
+//! evaluator's selection (`flexrel_bench::oracle`, the algebra's `σ_F` over
+//! `Database::snapshot`) — across the paper-style workloads with partial
+//! tuples, and after transaction rollback.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use proptest::prelude::*;
 
 use flexrel_algebra::predicate::Predicate;
+use flexrel_bench::oracle::evaluate;
 use flexrel_core::attr::AttrSet;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_query::prelude::*;
-use flexrel_storage::{ColumnHeap, Database, Heap, RelationDef, Transaction, TupleId};
+use flexrel_storage::{ColumnHeap, Database, RelationDef, Transaction, TupleId};
 use flexrel_workload::{
     employee_relation, generate_employees, generate_wide, wide_relation, EmployeeConfig, JobType,
     WideConfig,
@@ -36,19 +37,20 @@ fn tuple_multiset(ts: impl IntoIterator<Item = Tuple>) -> Vec<Tuple> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random insert/delete/replace sequences over one tuple shape leave
-    /// the columnar heap and the row-store oracle with identical contents,
-    /// identical lengths, and identical per-id reads — including slot
+    /// Random insert/delete/replace sequences over one tuple shape keep the
+    /// columnar heap in step with a `HashMap<TupleId, Tuple>` model:
+    /// identical contents and length, identical per-id reads (dead ids
+    /// included), identical values returned by `delete` and `replace`, and
+    /// `insert` never hands out an id that is still live — including slot
     /// reuse after deletes.
     #[test]
     fn columnar_heap_matches_row_heap_under_mutation(seed in 0u64..10_000, n_ops in 50usize..400) {
         let mut rng = TestRng::new(seed);
         let shape = AttrSet::from_names(["id", "kind", "score"]);
         let mut col = ColumnHeap::new(shape);
-        let mut row = Heap::new();
-        // Live ids, pairing each columnar TupleId with the row-heap id the
-        // oracle assigned to the same logical tuple.
-        let mut live: Vec<(TupleId, TupleId)> = Vec::new();
+        let mut model: HashMap<TupleId, Tuple> = HashMap::new();
+        let mut live: Vec<TupleId> = Vec::new();
+        let mut seen: BTreeSet<TupleId> = BTreeSet::new();
         for _ in 0..n_ops {
             // 3:1:1 insert / delete / replace.
             match rng.next_u64() % 5 {
@@ -58,32 +60,34 @@ proptest! {
                         (rng.next_u64() % 4) as u8,
                         (rng.next_u64() % 1_000) as i64,
                     );
-                    live.push((col.insert(t.clone()), row.insert(t)));
+                    let id = col.insert(t.clone());
+                    prop_assert!(model.insert(id, t).is_none(), "insert reused live id {}", id);
+                    live.push(id);
+                    seen.insert(id);
                 }
                 3 if !live.is_empty() => {
                     let pick = (rng.next_u64() as usize) % live.len();
-                    let (ct, rt) = live.swap_remove(pick);
-                    let from_col = col.delete(ct);
-                    let from_row = row.delete(rt);
-                    prop_assert_eq!(from_col, from_row);
+                    let id = live.swap_remove(pick);
+                    prop_assert_eq!(col.delete(id), model.remove(&id));
+                    prop_assert_eq!(col.delete(id), None, "double delete of {}", id);
                 }
                 4 if !live.is_empty() => {
                     let pick = (rng.next_u64() as usize) % live.len();
-                    let (ct, rt) = live[pick];
+                    let id = live[pick];
                     let score = (rng.next_u64() % 1_000) as i64;
                     let t = shape_tuple(score * 3, (score % 4) as u8, score);
-                    let old_col = col.replace(ct, t.clone());
-                    let old_row = row.replace(rt, t);
-                    prop_assert_eq!(old_col, old_row);
+                    prop_assert_eq!(col.replace(id, t.clone()), model.insert(id, t));
                 }
                 _ => {}
             }
         }
-        prop_assert_eq!(col.len(), row.len());
-        prop_assert_eq!(tuple_multiset(col.all_tuples()), tuple_multiset(row.all_tuples()));
-        for (ct, rt) in &live {
-            prop_assert_eq!(col.get(*ct), row.get(*rt).cloned());
-            prop_assert_eq!(col.get_ref(*ct).map(|r| r.to_tuple()), col.get(*ct));
+        prop_assert_eq!(col.len(), model.len());
+        prop_assert_eq!(tuple_multiset(col.all_tuples()), tuple_multiset(model.values().cloned()));
+        let scanned: BTreeSet<TupleId> = col.scan().map(|(id, _)| id).collect();
+        prop_assert_eq!(scanned, model.keys().copied().collect::<BTreeSet<_>>());
+        for id in &seen {
+            prop_assert_eq!(col.get(*id), model.get(id).cloned());
+            prop_assert_eq!(col.get_ref(*id).map(|r| r.to_tuple()), col.get(*id));
         }
     }
 }
@@ -102,14 +106,12 @@ fn employee_db(n: usize, seed: u64) -> Database {
     db
 }
 
-/// The row-store oracle for a predicate: materialize every stored tuple
-/// and apply `Predicate::eval` tuple-at-a-time.
-fn oracle(db: &Database, rel: &str, pred: &Predicate) -> BTreeSet<Tuple> {
-    db.scan(rel)
+/// The reference selection `σ_pred(rel)`, evaluated by the algebra over a
+/// snapshot of the relation.
+fn reference_select(db: &Database, rel: &str, pred: &Predicate) -> BTreeSet<Tuple> {
+    evaluate(&LogicalPlan::scan(rel).filter(pred.clone()), db)
         .unwrap()
         .into_iter()
-        .map(|(_, t)| t)
-        .filter(|t| pred.eval(t))
         .collect()
 }
 
@@ -151,7 +153,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Vectorized execution over the columnar partitions agrees with the
-    /// row-store oracle for the whole predicate family, on the employee
+    /// reference for the whole predicate family, on the employee
     /// workload (three shapes, partial variant attributes).
     #[test]
     fn columnar_execute_matches_row_oracle_on_employees(
@@ -164,10 +166,10 @@ proptest! {
         let db = employee_db(n, seed);
         let job = JobType::all()[job_idx];
         for pred in predicate_family(job, salary, speed) {
-            let reference = oracle(&db, "employee", &pred);
+            let reference = reference_select(&db, "employee", &pred);
             let (naive, fast) = both_plans(&db, "employee", &pred);
-            prop_assert_eq!(&naive, &reference, "naive vs oracle for {:?}", pred);
-            prop_assert_eq!(&fast, &reference, "optimized vs oracle for {:?}", pred);
+            prop_assert_eq!(&naive, &reference, "naive vs reference for {:?}", pred);
+            prop_assert_eq!(&fast, &reference, "optimized vs reference for {:?}", pred);
         }
     }
 
@@ -196,10 +198,10 @@ proptest! {
                 .and(Predicate::eq("kind", Value::tag(format!("k{}", kind))).negate()),
         ];
         for pred in preds {
-            let reference = oracle(&db, "wide", &pred);
+            let reference = reference_select(&db, "wide", &pred);
             let (naive, fast) = both_plans(&db, "wide", &pred);
-            prop_assert_eq!(&naive, &reference, "naive vs oracle for {:?}", pred);
-            prop_assert_eq!(&fast, &reference, "optimized vs oracle for {:?}", pred);
+            prop_assert_eq!(&naive, &reference, "naive vs reference for {:?}", pred);
+            prop_assert_eq!(&fast, &reference, "optimized vs reference for {:?}", pred);
         }
     }
 }
@@ -207,13 +209,13 @@ proptest! {
 /// After a rolled-back transaction the columnar partitions must read back
 /// exactly the pre-transaction state — the COW segments undone, freed
 /// slots reusable, and the vectorized scan path in agreement with the
-/// oracle again (this is the path where a stale selection bitmap or a
+/// reference again (this is the path where a stale selection bitmap or a
 /// missed segment copy would show up).
 #[test]
 fn post_rollback_scans_match_the_row_oracle() {
     let db = employee_db(120, 7);
     let pred = Predicate::gt("salary", 4_000.0);
-    let before_oracle = oracle(&db, "employee", &pred);
+    let before_reference = reference_select(&db, "employee", &pred);
     let before_all: BTreeSet<Tuple> = db
         .scan("employee")
         .unwrap()
@@ -246,10 +248,10 @@ fn post_rollback_scans_match_the_row_oracle() {
         before_all, after_all,
         "rollback restores the exact contents"
     );
-    assert_eq!(oracle(&db, "employee", &pred), before_oracle);
+    assert_eq!(reference_select(&db, "employee", &pred), before_reference);
     let (naive, fast) = both_plans(&db, "employee", &pred);
-    assert_eq!(naive, before_oracle);
-    assert_eq!(fast, before_oracle);
+    assert_eq!(naive, before_reference);
+    assert_eq!(fast, before_reference);
 
     // The freed columnar slots are live again: a fresh batch inserts
     // cleanly and the differential still holds.
@@ -265,7 +267,7 @@ fn post_rollback_scans_match_the_row_oracle() {
         db.insert("employee", t).unwrap();
     }
     assert_eq!(db.count("employee").unwrap(), 150);
-    let reference = oracle(&db, "employee", &pred);
+    let reference = reference_select(&db, "employee", &pred);
     let (naive, fast) = both_plans(&db, "employee", &pred);
     assert_eq!(naive, reference);
     assert_eq!(fast, reference);

@@ -1,7 +1,8 @@
 //! Semantic rewrites, end to end: the optimizer-v2 pipeline (dependency-
 //! derived rewrites plus the statistics-backed cost pass) never changes
-//! query results — checked against the naive plan on both the late
-//! materialized and the row-oracle pipelines — fires exactly when the
+//! query results — the naive and the optimized plan are each checked
+//! against the reference evaluator (the algebra over
+//! `Database::snapshot`) — fires exactly when the
 //! declared dependencies justify it (removing the FD must disable join
 //! elimination), and produces the expected plan shapes on the E17
 //! catalogue.
@@ -9,6 +10,7 @@
 use proptest::prelude::*;
 
 use flexrel_algebra::predicate::Predicate;
+use flexrel_bench::oracle;
 use flexrel_core::attr::AttrSet;
 use flexrel_core::attrs;
 use flexrel_core::scheme::FlexScheme;
@@ -81,35 +83,34 @@ fn catalogue() -> Vec<(&'static str, LogicalPlan)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Optimized-v2 plans return exactly the naive plan's rows, on both the
-    /// late-materialized pipeline and the row-at-a-time oracle, for every
-    /// catalogue entry — and each entry triggers its advertised rewrite.
+    /// Optimized-v2 plans return exactly the naive plan's rows: the naive
+    /// and the optimized plan each return the reference evaluator's
+    /// multiset, for every catalogue entry — and each entry triggers its
+    /// advertised rewrite.
     #[test]
     fn rewritten_plans_agree_with_naive_and_row_oracle(seed in 0u64..500, n in 40usize..200) {
         let db = employee_db(n, seed);
-        let late = ExecOptions::serial();
-        let row = ExecOptions::serial().row_pipeline();
         for (rule, naive) in catalogue() {
             let (optimized, notes) = optimize_with_db(naive.clone(), &db);
             prop_assert!(
                 notes.iter().any(|x| x.rule == rule),
                 "{} did not fire on {}", rule, naive
             );
-            let expect = sorted(execute_with(&naive, &db, &late).unwrap());
+            let expect = sorted(oracle::evaluate(&naive, &db).unwrap());
             prop_assert_eq!(
                 &expect,
-                &sorted(execute_with(&naive, &db, &row).unwrap()),
-                "naive late/row pipelines diverged for {}", rule
+                &sorted(execute(&naive, &db).unwrap()),
+                "naive plan diverged from the reference for {}", rule
             );
             prop_assert_eq!(
                 &expect,
-                &sorted(execute_with(&optimized, &db, &late).unwrap()),
-                "{} changed results (late pipeline)", rule
+                &sorted(oracle::evaluate(&optimized, &db).unwrap()),
+                "{} changed the reference result", rule
             );
             prop_assert_eq!(
                 &expect,
-                &sorted(execute_with(&optimized, &db, &row).unwrap()),
-                "{} changed results (row oracle)", rule
+                &sorted(execute(&optimized, &db).unwrap()),
+                "{} changed results", rule
             );
         }
     }
