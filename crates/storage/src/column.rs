@@ -1011,7 +1011,9 @@ mod tests {
         assert_eq!(h.get(b), Some(tuple! {"x" => 2}));
         assert_eq!(h.delete(a), Some(tuple! {"x" => 1}));
         assert_eq!(h.get(a), None);
+        assert_eq!(h.len(), 1);
         assert_eq!(h.delete(a), None, "double delete is a no-op");
+        assert_eq!(h.len(), 1);
         let c = h.insert(tuple! {"x" => 3});
         assert_eq!(c, a, "tombstoned slot is reused");
         assert_eq!(h.get(c), Some(tuple! {"x" => 3}));
