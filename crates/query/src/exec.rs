@@ -40,7 +40,7 @@
 //! always serial (a probe touches a handful of segments).
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use flexrel_algebra::predicate::{CmpOp, Predicate};
 use flexrel_core::attr::AttrSet;
@@ -156,9 +156,13 @@ pub(crate) struct ExecContext {
     /// mentions); avoids cloning in the hot `snap` accessor.
     empty: RelSnap,
     /// Per-relation table statistics (histograms, distinct counts), fetched
-    /// only for plans whose estimates can use them (joins, aggregates).
+    /// from `db` on the first [`ExecContext::stats`] call for the relation:
+    /// only filter, join and grouped-aggregate estimates read them, so a
+    /// statement that never asks (a point lookup, a global aggregate)
+    /// never builds them.
     /// Advisory: they steer cost decisions, never correctness.
-    stats: HashMap<String, TableStats>,
+    stats: HashMap<String, OnceLock<Option<TableStats>>>,
+    db: Database,
     pub(crate) opts: ExecOptions,
 }
 
@@ -166,26 +170,17 @@ impl ExecContext {
     fn build(plan: &LogicalPlan, db: &Database, opts: ExecOptions) -> Result<ExecContext> {
         let mut relations = BTreeSet::new();
         collect_relations(plan, &mut relations);
-        ExecContext::for_relations(
-            relations,
-            plan_needs_indexes(plan),
-            plan_needs_stats(plan),
-            db,
-            opts,
-        )
+        ExecContext::for_relations(relations, plan_needs_indexes(plan), db, opts)
     }
 
     /// Captures the given relations.  Index snapshots are only taken when
     /// the plan can probe them (`needs_indexes`): a scan-only query then
     /// holds no `Arc<HashIndex>`, so concurrent index maintenance stays
     /// copy-free (see the index-granularity note on
-    /// [`Database::relation_snapshot`]).  Table statistics are likewise
-    /// only materialized when the plan's estimates consult them
-    /// (`needs_stats`).
+    /// [`Database::relation_snapshot`]).
     fn for_relations(
         relations: BTreeSet<String>,
         needs_indexes: bool,
-        needs_stats: bool,
         db: &Database,
         opts: ExecOptions,
     ) -> Result<ExecContext> {
@@ -202,11 +197,7 @@ impl ExecContext {
                 }
             };
             snaps.insert(rel.clone(), snap);
-            if needs_stats {
-                if let Ok(ts) = db.table_stats(&rel) {
-                    stats.insert(rel, ts);
-                }
-            }
+            stats.insert(rel, OnceLock::new());
         }
         Ok(ExecContext {
             snaps,
@@ -215,13 +206,17 @@ impl ExecContext {
                 indexes: Vec::new(),
             },
             stats,
+            db: db.clone(),
             opts,
         })
     }
 
-    /// The captured statistics of a relation, when the context loaded them.
+    /// The statistics of a captured relation, fetched on first use.
     pub(crate) fn stats(&self, relation: &str) -> Option<&TableStats> {
-        self.stats.get(relation)
+        self.stats
+            .get(relation)?
+            .get_or_init(|| self.db.table_stats(relation).ok())
+            .as_ref()
     }
 
     /// Borrows the relation's captured snapshot; the metadata derivations
@@ -246,21 +241,6 @@ fn plan_needs_indexes(plan: &LogicalPlan) -> bool {
         | LogicalPlan::Extend { input, .. }
         | LogicalPlan::Aggregate { input, .. } => plan_needs_indexes(input),
         LogicalPlan::UnionAll { inputs } => inputs.iter().any(plan_needs_indexes),
-    }
-}
-
-/// Whether estimating `plan` can consult table statistics: only join
-/// cardinalities and grouped-aggregate bounds use them, so scan-only
-/// queries never pay for building (or fetching cached) histograms.
-fn plan_needs_stats(plan: &LogicalPlan) -> bool {
-    match plan {
-        LogicalPlan::Empty | LogicalPlan::Scan { .. } | LogicalPlan::IndexLookup { .. } => false,
-        LogicalPlan::Join { .. } | LogicalPlan::Aggregate { .. } => true,
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Guard { input, .. }
-        | LogicalPlan::Extend { input, .. } => plan_needs_stats(input),
-        LogicalPlan::UnionAll { inputs } => inputs.iter().any(plan_needs_stats),
     }
 }
 
@@ -371,7 +351,7 @@ fn idx_avg_matches(idx: &HashIndex) -> usize {
 }
 
 /// A cardinality *estimate* for a plan, derived from partition metadata,
-/// index statistics and — for joins, filters under them and grouped
+/// index statistics and — for filters, joins and grouped
 /// aggregates — the stored per-partition table statistics (equi-depth
 /// histograms and distinct counts, [`flexrel_storage::TableStats`]).
 /// `None` when nothing can be derived (a join over relations with no
@@ -619,8 +599,7 @@ pub fn join_strategy(left: &LogicalPlan, right: &LogicalPlan, db: &Database) -> 
     let mut relations = BTreeSet::new();
     collect_relations(left, &mut relations);
     collect_relations(right, &mut relations);
-    let Ok(ctx) = ExecContext::for_relations(relations, true, true, db, ExecOptions::serial())
-    else {
+    let Ok(ctx) = ExecContext::for_relations(relations, true, db, ExecOptions::serial()) else {
         return JoinStrategy::Hash;
     };
     let common = snap_plan_attrs(left, &ctx).intersection(&snap_plan_attrs(right, &ctx));
@@ -1186,6 +1165,43 @@ mod tests {
             )],
         );
         assert_eq!(estimate_rows(&global, &db), Some(1));
+    }
+
+    /// Table statistics are fetched when an estimate first asks for them:
+    /// running a global aggregate never does, while estimating a join or a
+    /// grouped aggregate loads the statistics of the relations it reads.
+    #[test]
+    fn table_stats_load_on_first_use() {
+        let db = with_wanted(db(120), &[1, 2]);
+        let loaded = |ctx: &ExecContext| ctx.stats.values().filter(|s| s.get().is_some()).count();
+
+        let q = parse("SELECT COUNT(*), SUM(salary) FROM employee WHERE jobtype = 'secretary'")
+            .unwrap();
+        let plan = plan_query(&q, &db.catalog()).unwrap();
+        let (plan, _) = crate::optimizer::optimize_with_db(plan, &db);
+        let ctx = ExecContext::build(&plan, &db, ExecOptions::serial()).unwrap();
+        let stats = batch::ExecStats::with_deadline(None);
+        let chunks = batch::exec_chunks(&plan, &ctx, &stats).unwrap();
+        let rows: Vec<Tuple> = batch::chunks_to_tuples(chunks, stats.clone()).collect();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(loaded(&ctx), 0, "a global aggregate reads no statistics");
+
+        let join = LogicalPlan::scan("wanted").join(LogicalPlan::scan("employee"));
+        let ctx = ExecContext::build(&join, &db, ExecOptions::serial()).unwrap();
+        assert_eq!(loaded(&ctx), 0, "nothing is fetched up front");
+        assert_eq!(snap_estimate_rows(&join, &ctx), Some(2));
+        assert_eq!(loaded(&ctx), 2);
+
+        let grouped = LogicalPlan::scan("employee").aggregate(
+            attrs!["jobtype"],
+            vec![crate::logical::AggExpr::new(
+                crate::logical::AggFunc::Count,
+                None,
+            )],
+        );
+        let ctx = ExecContext::build(&grouped, &db, ExecOptions::serial()).unwrap();
+        assert!(snap_estimate_rows(&grouped, &ctx).unwrap() <= 3);
+        assert_eq!(loaded(&ctx), 1);
     }
 
     /// The parallel gate: serial for single partitions, tiny scans, or

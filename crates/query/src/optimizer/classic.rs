@@ -5,6 +5,8 @@
 //! predates the multi-pass pipeline and is kept verbatim; the pipeline
 //! ([`super::Pipeline`]) wraps them as [`super::Rewrite`] passes.
 
+use std::borrow::Cow;
+
 use flexrel_algebra::predicate::{CmpOp, Predicate};
 use flexrel_core::attr::{Attr, AttrSet};
 use flexrel_core::axioms::AxiomSystem;
@@ -157,26 +159,32 @@ fn strip_consumed_equalities(p: &Predicate, key: &AttrSet, key_value: &Tuple) ->
 }
 
 /// The dependencies visible below a plan node: the union of the declared
-/// dependency sets of every scanned relation in the subtree.
-fn subtree_deps(plan: &LogicalPlan, catalog: &Catalog) -> DependencySet {
+/// dependency sets of every scanned relation in the subtree.  A subtree
+/// over one relation borrows that relation's set from the catalog; only
+/// joins and unions build a new one.
+fn subtree_deps<'a>(plan: &LogicalPlan, catalog: &'a Catalog) -> Cow<'a, DependencySet> {
     match plan {
-        LogicalPlan::Scan { relation, .. } | LogicalPlan::IndexLookup { relation, .. } => catalog
-            .get(relation)
-            .map(|def| def.deps.clone())
-            .unwrap_or_default(),
+        LogicalPlan::Scan { relation, .. } | LogicalPlan::IndexLookup { relation, .. } => {
+            match catalog.get(relation) {
+                Ok(def) => Cow::Borrowed(&def.deps),
+                Err(_) => Cow::Owned(DependencySet::new()),
+            }
+        }
         // An aggregate's output attributes are new (counts, sums, group
         // keys); the scanned relations' dependencies say nothing about them.
-        LogicalPlan::Empty | LogicalPlan::Aggregate { .. } => DependencySet::new(),
+        LogicalPlan::Empty | LogicalPlan::Aggregate { .. } => Cow::Owned(DependencySet::new()),
         LogicalPlan::Filter { input, .. }
         | LogicalPlan::Project { input, .. }
         | LogicalPlan::Guard { input, .. }
         | LogicalPlan::Extend { input, .. } => subtree_deps(input, catalog),
         LogicalPlan::Join { left, right } => {
-            subtree_deps(left, catalog).union(&subtree_deps(right, catalog))
+            Cow::Owned(subtree_deps(left, catalog).union(&subtree_deps(right, catalog)))
         }
-        LogicalPlan::UnionAll { inputs } => inputs.iter().fold(DependencySet::new(), |acc, p| {
-            acc.union(&subtree_deps(p, catalog))
-        }),
+        LogicalPlan::UnionAll { inputs } => {
+            Cow::Owned(inputs.iter().fold(DependencySet::new(), |acc, p| {
+                acc.union(&subtree_deps(p, catalog))
+            }))
+        }
     }
 }
 

@@ -21,8 +21,9 @@
 //!   semantic EAD simplification folds a predicate to `false`, and the
 //!   classic constant-folding rule collapses the filter on the next round.
 //! * [`PassContext`] — what rules see: the catalog, optionally the live
-//!   database, and a lazily built [`SemanticFacts`] cache per relation (the
-//!   closure-index view of the declared dependencies).
+//!   database, and each relation's [`SemanticFacts`] (the closure-index
+//!   view of the declared dependencies), which the catalog built when the
+//!   relation was registered.
 //!
 //! The rules themselves live in submodules: [`mod@classic`] carries the
 //! original justified rewrites (guard analysis, variant/join pruning,
@@ -43,10 +44,6 @@ pub mod classic;
 pub mod cost;
 pub mod explain;
 pub mod semantic;
-
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
 
 use flexrel_core::attr::AttrSet;
 use flexrel_core::facts::SemanticFacts;
@@ -78,23 +75,18 @@ impl RewriteNote {
     }
 }
 
-/// What a [`Rewrite`] rule gets to see: the catalog, optionally the live
-/// database (for statistics-backed rules), and a lazily built
-/// [`SemanticFacts`] cache per relation.
+/// What a [`Rewrite`] rule gets to see: the catalog (with each relation's
+/// [`SemanticFacts`]) and optionally the live database (for
+/// statistics-backed rules).
 pub struct PassContext<'a> {
     catalog: &'a Catalog,
     db: Option<&'a Database>,
-    facts: RefCell<HashMap<String, Option<Rc<SemanticFacts>>>>,
 }
 
 impl<'a> PassContext<'a> {
     /// A context over a catalog only (no statistics available).
     pub fn new(catalog: &'a Catalog) -> Self {
-        PassContext {
-            catalog,
-            db: None,
-            facts: RefCell::new(HashMap::new()),
-        }
+        PassContext { catalog, db: None }
     }
 
     /// A context over a live database: rules may additionally consult
@@ -103,7 +95,6 @@ impl<'a> PassContext<'a> {
         PassContext {
             catalog,
             db: Some(db),
-            facts: RefCell::new(HashMap::new()),
         }
     }
 
@@ -118,21 +109,10 @@ impl<'a> PassContext<'a> {
     }
 
     /// The semantic facts (closure index, mandatory attributes, EAD
-    /// variants) for a relation, built on first use and cached for the
-    /// whole pipeline run.  `None` for unknown relations.
-    pub fn facts(&self, relation: &str) -> Option<Rc<SemanticFacts>> {
-        if let Some(cached) = self.facts.borrow().get(relation) {
-            return cached.clone();
-        }
-        let built = self
-            .catalog
-            .get(relation)
-            .ok()
-            .map(|def| Rc::new(SemanticFacts::new(&def.scheme, &def.deps)));
-        self.facts
-            .borrow_mut()
-            .insert(relation.to_string(), built.clone());
-        built
+    /// variants) of a relation, as the catalog built them at registration.
+    /// `None` for unknown relations.
+    pub fn facts(&self, relation: &str) -> Option<&'a SemanticFacts> {
+        self.catalog.facts(relation).ok().map(|f| &**f)
     }
 }
 

@@ -178,7 +178,7 @@ fn try_join_elimination(
         if leaf_relation_through_project(probe) != Some(rel) {
             continue;
         }
-        let Some(lower) = probe_lower(probe, rel, &facts) else {
+        let Some(lower) = probe_lower(probe, rel, facts) else {
             continue;
         };
         if a.is_empty() || !a.is_subset(facts.mandatory()) {

@@ -1,10 +1,19 @@
-//! The catalog: named relation definitions (scheme, dependencies, domains).
+//! The catalog: named relation definitions (scheme, dependencies, domains)
+//! and the semantic facts derived from each.
+//!
+//! A relation's facts ([`SemanticFacts`]: mandatory attributes, dependency
+//! closures, EAD variants) follow from its scheme and dependencies alone,
+//! so they are built once, when the relation is registered, and shared by
+//! every statement planned against the catalog.  Definitions are immutable
+//! once registered, so the facts cannot go stale.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use flexrel_core::attr::Attr;
 use flexrel_core::dep::{Dependency, DependencySet};
 use flexrel_core::error::{CoreError, Result};
+use flexrel_core::facts::SemanticFacts;
 use flexrel_core::relation::FlexRelation;
 use flexrel_core::scheme::FlexScheme;
 use flexrel_core::value::Domain;
@@ -67,10 +76,17 @@ impl RelationDef {
     }
 }
 
+/// One registered relation: its definition and the facts built from it.
+#[derive(Clone, Debug)]
+struct Entry {
+    def: RelationDef,
+    facts: Arc<SemanticFacts>,
+}
+
 /// A catalog of relation definitions.
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
-    relations: BTreeMap<String, RelationDef>,
+    relations: BTreeMap<String, Entry>,
 }
 
 impl Catalog {
@@ -81,7 +97,8 @@ impl Catalog {
         }
     }
 
-    /// Registers a relation definition; fails if the name is taken.
+    /// Registers a relation definition and builds its semantic facts; fails
+    /// if the name is taken.
     pub fn register(&mut self, def: RelationDef) -> Result<()> {
         if self.relations.contains_key(&def.name) {
             return Err(CoreError::Invalid(format!(
@@ -89,21 +106,33 @@ impl Catalog {
                 def.name
             )));
         }
-        self.relations.insert(def.name.clone(), def);
+        let facts = Arc::new(SemanticFacts::new(&def.scheme, &def.deps));
+        self.relations
+            .insert(def.name.clone(), Entry { def, facts });
         Ok(())
     }
 
-    /// Looks up a definition.
-    pub fn get(&self, name: &str) -> Result<&RelationDef> {
+    fn entry(&self, name: &str) -> Result<&Entry> {
         self.relations
             .get(name)
             .ok_or_else(|| CoreError::NotFound(format!("relation {}", name)))
     }
 
-    /// Drops a definition, returning it.
+    /// Looks up a definition.
+    pub fn get(&self, name: &str) -> Result<&RelationDef> {
+        self.entry(name).map(|e| &e.def)
+    }
+
+    /// The semantic facts of a relation, built when it was registered.
+    pub fn facts(&self, name: &str) -> Result<&Arc<SemanticFacts>> {
+        self.entry(name).map(|e| &e.facts)
+    }
+
+    /// Drops a definition (and its facts), returning the definition.
     pub fn drop(&mut self, name: &str) -> Result<RelationDef> {
         self.relations
             .remove(name)
+            .map(|e| e.def)
             .ok_or_else(|| CoreError::NotFound(format!("relation {}", name)))
     }
 
@@ -131,6 +160,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexrel_core::attr::AttrSet;
     use flexrel_core::attrs;
     use flexrel_core::dep::Fd;
 
@@ -167,5 +197,99 @@ mod tests {
         assert_eq!(d2.scheme, d.scheme);
         assert_eq!(d2.deps, d.deps);
         assert_eq!(d2.domains, d.domains);
+    }
+
+    /// Asserts that two fact sets agree on the attribute sets, the
+    /// mandatory attributes and functional determination among `probes`.
+    fn assert_same_facts(got: &SemanticFacts, want: &SemanticFacts, probes: &[AttrSet]) {
+        assert_eq!(got.attrs(), want.attrs());
+        assert_eq!(got.mandatory(), want.mandatory());
+        for x in probes {
+            for y in probes {
+                assert_eq!(
+                    got.determines(x, y),
+                    want.determines(x, y),
+                    "{} determines {}",
+                    x,
+                    y
+                );
+            }
+        }
+    }
+
+    fn employee() -> RelationDef {
+        RelationDef::from_relation(&flexrel_workload::employee_relation())
+    }
+
+    fn probes() -> Vec<AttrSet> {
+        vec![
+            attrs!["empno"],
+            attrs!["name"],
+            attrs!["jobtype"],
+            attrs!["name", "salary", "jobtype"],
+            attrs!["typing-speed"],
+        ]
+    }
+
+    #[test]
+    fn facts_are_built_at_registration() {
+        let mut c = Catalog::new();
+        let def = employee();
+        c.register(def.clone()).unwrap();
+        let fresh = SemanticFacts::new(&def.scheme, &def.deps);
+        assert_same_facts(c.facts("employee").unwrap(), &fresh, &probes());
+        assert!(c
+            .facts("employee")
+            .unwrap()
+            .determines(&attrs!["empno"], &attrs!["name", "salary"]));
+        assert!(c.facts("nope").is_err());
+    }
+
+    #[test]
+    fn re_registration_replaces_the_facts() {
+        let mut c = Catalog::new();
+        c.register(employee()).unwrap();
+        c.drop("employee").unwrap();
+        assert!(c.facts("employee").is_err(), "drop removes the facts");
+        let mut def = employee();
+        def.deps = DependencySet::new();
+        def.deps.add(Fd::new(attrs!["name"], attrs!["empno"]));
+        c.register(def.clone()).unwrap();
+        let facts = c.facts("employee").unwrap();
+        assert_same_facts(
+            facts,
+            &SemanticFacts::new(&def.scheme, &def.deps),
+            &probes(),
+        );
+        assert!(facts.determines(&attrs!["name"], &attrs!["empno"]));
+        assert!(!facts.determines(&attrs!["empno"], &attrs!["name"]));
+    }
+
+    #[test]
+    fn decoded_definitions_carry_the_same_facts() {
+        let mut encoded = Catalog::new();
+        encoded.register(employee()).unwrap();
+        encoded.register(def()).unwrap();
+        let mut buf = Vec::new();
+        for name in encoded.names() {
+            crate::codec::put_relation_def(&mut buf, encoded.get(name).unwrap());
+        }
+        let mut cur = crate::codec::Cursor::new(&buf);
+        let mut decoded = Catalog::new();
+        while !cur.is_empty() {
+            decoded
+                .register(crate::codec::get_relation_def(&mut cur).unwrap())
+                .unwrap();
+        }
+        assert_eq!(decoded.names(), encoded.names());
+        let mut probes = probes();
+        probes.push(attrs!["empno", "name"]);
+        for name in encoded.names() {
+            assert_same_facts(
+                decoded.facts(name).unwrap(),
+                encoded.facts(name).unwrap(),
+                &probes,
+            );
+        }
     }
 }

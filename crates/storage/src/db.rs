@@ -911,7 +911,7 @@ impl Database {
                     .map(|(k, rids)| {
                         let mut rids = rids.to_vec();
                         rids.sort_unstable();
-                        (k.clone(), rids)
+                        (k, rids)
                     })
                     .collect();
                 let rebuilt: BTreeMap<Tuple, Vec<Rid>> = canonical
@@ -919,7 +919,7 @@ impl Database {
                     .map(|(k, rids)| {
                         let mut rids = rids.to_vec();
                         rids.sort_unstable();
-                        (k.clone(), rids)
+                        (k, rids)
                     })
                     .collect();
                 let mut stored_partial = si.idx.partial_tuples().to_vec();
@@ -2114,7 +2114,7 @@ mod tests {
                     si.idx.key().clone(),
                     si.idx
                         .entries()
-                        .map(|(k, v)| (k.clone(), v.iter().copied().collect()))
+                        .map(|(k, v)| (k, v.iter().copied().collect()))
                         .collect(),
                     si.idx.partial_tuples().iter().copied().collect(),
                     si.auto,
